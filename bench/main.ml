@@ -59,11 +59,35 @@ let multiword_min_gain = 1.5
    much over the registry-disabled run of the same search workload *)
 let metrics_max_overhead_pct = 5.0
 
+(* How the gate measures: [metrics_pairs] pairs, each interleaving
+   instrumented and disabled searches until both arms hold at least
+   [metrics_arm_s] CPU seconds, and the median of the pair overheads. A
+   best-of-3 over single 20-35 ms wall-clock searches swung by +-10 % run
+   to run, twice the bound. *)
+let metrics_pairs = 15
+let metrics_arm_s = 0.5
+
+type overhead = {
+  on_s : float;  (** median CPU seconds per search, instrumented *)
+  off_s : float;  (** median CPU seconds per search, registry disabled *)
+  pcts : float array;  (** per-pair overhead %, sorted *)
+}
+
+(* [quantile xs q] of a sorted, non-empty array: the nearest-rank value. *)
+let quantile xs q =
+  let n = Array.length xs in
+  xs.(min (n - 1) (int_of_float (q *. float_of_int n)))
+
+let sorted xs =
+  let xs = Array.copy xs in
+  Array.sort compare xs;
+  xs
+
 let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
     ~signoff_batches ~signoff_scalar_cps ~signoff_packed_cps ~shmoo_lanes
     ~shmoo_scalar_s ~shmoo_packed_s ~mw_packed_cps ~mw_candidates
     ~mw_default ~mw_autodetect ~service_cold_s ~service_warm_s
-    ~metrics_on_s ~metrics_off_s =
+    ~(metrics : overhead) =
   let b = Buffer.create 4096 in
   let entry (name, v) =
     Printf.sprintf "    {\"name\": \"%s\", \"value\": %.6g}" (json_escape name) v
@@ -128,12 +152,14 @@ let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
         else 0.0));
   Buffer.add_string b
     (Printf.sprintf
-       "  \"metrics_overhead\": {\"instrumented_s\": %.6g, \"baseline_s\": \
-        %.6g, \"overhead_pct\": %.6g, \"max_pct\": %.1f},\n"
-       metrics_on_s metrics_off_s
-       (if metrics_off_s > 0.0 then
-          (metrics_on_s -. metrics_off_s) /. metrics_off_s *. 100.0
-        else 0.0)
+       "  \"metrics_overhead\": {\"pairs\": %d, \"arm_min_s\": %.2f, \
+        \"instrumented_s\": %.6g, \"baseline_s\": %.6g, \"overhead_pct\": \
+        %.6g, \"pct_q1\": %.6g, \"pct_q3\": %.6g, \"pct_min\": %.6g, \
+        \"pct_max\": %.6g, \"max_pct\": %.1f},\n"
+       (Array.length metrics.pcts) metrics_arm_s metrics.on_s metrics.off_s
+       (quantile metrics.pcts 0.5) (quantile metrics.pcts 0.25)
+       (quantile metrics.pcts 0.75) metrics.pcts.(0)
+       metrics.pcts.(Array.length metrics.pcts - 1)
        metrics_max_overhead_pct);
   Buffer.add_string b "  \"kernels_ns_per_run\": [\n";
   Buffer.add_string b
@@ -469,39 +495,70 @@ let () =
 
   (* ---------------- metrics instrumentation overhead ---------------- *)
   banner "Metrics overhead — full MSO search, registry on vs off";
-  let metrics_on_s, metrics_off_s =
+  let metrics =
     let spec = { Spec.fig8 with Spec.rows = 16; cols = 16; mcr = 1 } in
-    (* one throwaway run warms the SCL memo so both arms measure search
-       evaluation, not first-touch characterization *)
-    ignore (Searcher.search ~cache:(Eval_cache.create ()) lib scl spec);
-    let best_of n f =
-      let best = ref infinity in
-      for _ = 1 to n do
-        let t0 = Unix.gettimeofday () in
-        f ();
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt
-      done;
-      !best
-    in
-    let run () =
+    let search () =
       ignore (Searcher.search ~cache:(Eval_cache.create ()) lib scl spec)
     in
-    let reps = if quick then 3 else 5 in
-    let on_s = best_of reps run in
-    Metrics.set_enabled false;
-    let off_s = best_of reps run in
-    Metrics.set_enabled true;
+    (* one throwaway run warms the SCL memo so both arms measure search
+       evaluation, not first-touch characterization *)
+    search ();
+    (* CPU seconds of one search. The search runs on this domain alone,
+       so process CPU time is its work; unlike wall-clock it does not
+       count time other processes took the core. [Sys.time] reads it at
+       microsecond resolution. *)
+    let timed enabled =
+      Metrics.set_enabled enabled;
+      let t0 = Sys.time () in
+      search ();
+      let dt = Sys.time () -. t0 in
+      Metrics.set_enabled true;
+      dt
+    in
+    (* One pair: searches alternate on/off in ABBA order until each arm
+       holds [metrics_arm_s]. On a shared host the core's speed drifts by
+       up to 20 % over seconds; interleaving search by search makes that
+       drift common to both arms, where 0.5 s blocks left it in the
+       difference. Returns the mean CPU seconds per search of each arm. *)
+    let pair () =
+      let on = ref 0.0 and off = ref 0.0 and n_on = ref 0 and n_off = ref 0 in
+      let k = ref 0 in
+      while !on < metrics_arm_s || !off < metrics_arm_s do
+        let enabled = !k land 3 = 0 || !k land 3 = 3 in
+        let dt = timed enabled in
+        if enabled then begin
+          on := !on +. dt;
+          incr n_on
+        end
+        else begin
+          off := !off +. dt;
+          incr n_off
+        end;
+        incr k
+      done;
+      (!on /. float_of_int !n_on, !off /. float_of_int !n_off)
+    in
+    let pairs = Array.init metrics_pairs (fun _ -> pair ()) in
+    let m =
+      {
+        on_s = quantile (sorted (Array.map fst pairs)) 0.5;
+        off_s = quantile (sorted (Array.map snd pairs)) 0.5;
+        pcts =
+          sorted
+            (Array.map (fun (on, off) -> (on -. off) /. off *. 100.0) pairs);
+      }
+    in
     Printf.printf
-      "16x16 INT8 search, best of %d:\n\
-      \  instrumented: %.4f s\n\
-      \  disabled:     %.4f s\n\
-       overhead: %.2f %% (gate: <= %.1f %%)\n\
+      "16x16 INT8 search, %d pairs of interleaved arms, >= %.1f CPU s each:\n\
+      \  instrumented: %.4f CPU s per search (median)\n\
+      \  disabled:     %.4f CPU s per search (median)\n\
+       overhead: median %.2f %% (quartiles %.2f .. %.2f, range %.2f .. %.2f; \
+       gate: <= %.1f %%)\n\
        %!"
-      reps on_s off_s
-      (if off_s > 0.0 then (on_s -. off_s) /. off_s *. 100.0 else 0.0)
-      metrics_max_overhead_pct;
-    (on_s, off_s)
+      metrics_pairs metrics_arm_s m.on_s m.off_s (quantile m.pcts 0.5)
+      (quantile m.pcts 0.25) (quantile m.pcts 0.75) m.pcts.(0)
+      m.pcts.(metrics_pairs - 1) metrics_max_overhead_pct;
+    m
   in
 
   (* ---------------- Bechamel kernels ---------------- *)
@@ -571,6 +628,5 @@ let () =
   write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
     ~signoff_batches ~signoff_scalar_cps ~signoff_packed_cps ~shmoo_lanes
     ~shmoo_scalar_s ~shmoo_packed_s ~mw_packed_cps ~mw_candidates
-    ~mw_default ~mw_autodetect ~service_cold_s ~service_warm_s ~metrics_on_s
-    ~metrics_off_s;
+    ~mw_default ~mw_autodetect ~service_cold_s ~service_warm_s ~metrics;
   Printf.printf "\nbench: all experiments regenerated.\n"

@@ -48,6 +48,10 @@ type drive = X1 | X2 | X4
 
 let drive_to_string = function X1 -> "X1" | X2 -> "X2" | X4 -> "X4"
 
+let all_drives = [ X1; X2; X4 ]
+let n_drives = List.length all_drives
+let drive_index = function X1 -> 0 | X2 -> 1 | X4 -> 2
+
 let kind_to_string = function
   | Inv -> "INV"
   | Buf -> "BUF"
@@ -80,6 +84,36 @@ let all_kinds =
     Fa; Comp42; Dff; Dff_en; Sram S6t; Sram S8t; Sram S12t; Mul Tg_nor;
     Mul Pass_1t; Mul Oai22_fused; Tgmux2; Ptmux2;
   ]
+
+let n_kinds = List.length all_kinds
+
+(** [kind_index k] numbers the kinds densely, [0 .. n_kinds - 1]: the
+    row of [k] in {!Library}'s parameter table. *)
+let kind_index = function
+  | Inv -> 0
+  | Buf -> 1
+  | Nand2 -> 2
+  | Nor2 -> 3
+  | And2 -> 4
+  | Or2 -> 5
+  | Xor2 -> 6
+  | Xnor2 -> 7
+  | Mux2 -> 8
+  | Aoi22 -> 9
+  | Oai22 -> 10
+  | Ha -> 11
+  | Fa -> 12
+  | Comp42 -> 13
+  | Dff -> 14
+  | Dff_en -> 15
+  | Sram S6t -> 16
+  | Sram S8t -> 17
+  | Sram S12t -> 18
+  | Mul Tg_nor -> 19
+  | Mul Pass_1t -> 20
+  | Mul Oai22_fused -> 21
+  | Tgmux2 -> 22
+  | Ptmux2 -> 23
 
 (** [n_inputs k] is the number of logic input pins (clock excluded). *)
 let n_inputs = function

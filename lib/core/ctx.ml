@@ -53,6 +53,9 @@ let validate_engine (s : string) : (engine, Diag.t) Stdlib.result =
 
 type t = {
   lib : Library.t;  (** the characterized cell library (immutable) *)
+  lib_fp : string;
+      (** {!Disk_cache.library_fingerprint} of [lib], computed once when
+          the world is built: every cache lookup keys on it *)
   scl : Scl.t;  (** shared subcircuit-library memo (mutex-guarded) *)
   jobs : int option;
       (** domain-pool width; [None] = [SYNDCIM_JOBS], then core count *)
@@ -71,24 +74,27 @@ type t = {
 
 let default_seed = 0xC1A0
 
-(* The process-wide library + SCL pair behind [default ()]. Mutex-guarded
-   rather than [lazy] because two domains may race the first call. *)
-let shared_world : (Library.t * Scl.t) option ref = ref None
+(* The process-wide library, SCL memo and library fingerprint behind
+   [default ()]. Mutex-guarded rather than [lazy] because two domains may
+   race the first call. *)
+let shared_world : (Library.t * Scl.t * string) option ref = ref None
 let shared_lock = Mutex.create ()
 
-let shared_pair () =
+let world lib = (lib, Scl.create lib, Disk_cache.library_fingerprint lib)
+
+let shared () =
   Mutex.protect shared_lock (fun () ->
       match !shared_world with
-      | Some pair -> pair
+      | Some w -> w
       | None ->
-          let lib = Library.n40 () in
-          let pair = (lib, Scl.create lib) in
-          shared_world := Some pair;
-          pair)
+          let w = world (Library.n40 ()) in
+          shared_world := Some w;
+          w)
 
-let make (lib, scl) =
+let make (lib, scl, lib_fp) =
   {
     lib;
+    lib_fp;
     scl;
     jobs = None;
     engine = `Packed;
@@ -103,23 +109,22 @@ let make (lib, scl) =
 (** [default ()] — a context over the process-wide shared library and
     SCL memo: every [default] context reuses the same characterization
     work. This is what the CLI, bench and examples construct. *)
-let default () = make (shared_pair ())
+let default () = make (shared ())
 
 (** [fresh ()] — a context over a brand-new library and empty SCL memo,
     isolated from every other context (first compile re-characterizes).
     For tests that must observe cold-memo behaviour, and for tenants
     that need hard isolation. *)
-let fresh () =
-  let lib = Library.n40 () in
-  make (lib, Scl.create lib)
+let fresh () = make (world (Library.n40 ()))
 
 (** [of_parts lib scl] — wrap an existing pair (e.g. a test that built
     its own library) in a context. *)
-let of_parts lib scl = make (lib, scl)
+let of_parts lib scl = make (lib, scl, Disk_cache.library_fingerprint lib)
 
 (* ---------------- accessors ---------------- *)
 
 let lib t = t.lib
+let lib_fingerprint t = t.lib_fp
 let scl t = t.scl
 let jobs t = t.jobs
 let engine t = t.engine

@@ -170,18 +170,34 @@ let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
         ("cols", string_of_int spec.Spec.cols);
         ("weight_bits", string_of_int wb);
       ]
-  else if spec.Spec.mac_freq_hz <= 0.0 || spec.Spec.weight_update_freq_hz <= 0.0
-  then err "clock targets must be positive" []
-  else if spec.Spec.vdd <= 0.0 then err "operating voltage must be positive" []
-  else Ok ()
+  else
+    (* NaN compares false against everything, so finiteness is checked
+       first: a NaN clock would otherwise compile to NaN power *)
+    let floats =
+      [
+        ("mac_freq_hz", spec.Spec.mac_freq_hz);
+        ("weight_update_freq_hz", spec.Spec.weight_update_freq_hz);
+        ("vdd", spec.Spec.vdd);
+      ]
+    in
+    match List.find_opt (fun (_, x) -> not (Float.is_finite x)) floats with
+    | Some (field, x) ->
+        err (field ^ " must be a finite number") [ (field, Printf.sprintf "%g" x) ]
+    | None ->
+        if spec.Spec.mac_freq_hz <= 0.0 || spec.Spec.weight_update_freq_hz <= 0.0
+        then err "clock targets must be positive" []
+        else if spec.Spec.vdd <= 0.0 then err "operating voltage must be positive" []
+        else Ok ()
 
-(** Stage 1 — MSO search under [boost]-tightened internal clock. *)
-let search_stage lib scl ~boost : (Spec.t, search_art) Stage.t =
+(** Stage 1 — MSO search under [boost]-tightened internal clock.
+    [activity] carries switching activity over from earlier attempts of
+    the same compilation. *)
+let search_stage ?activity lib scl ~boost : (Spec.t, search_art) Stage.t =
   Stage.v stage_search (fun (spec : Spec.t) ->
       let* () = validate spec in
       let* search, cache =
         Diag.guard ~stage:stage_search ~spec (fun () ->
-            let cache = Eval_cache.create () in
+            let cache = Eval_cache.create ?activity () in
             let search_spec =
               { spec with Spec.mac_freq_hz = spec.Spec.mac_freq_hz *. boost }
             in
@@ -456,8 +472,10 @@ let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?verify_engine
   let trace = match trace with Some t -> Some t | None -> Ctx.trace ctx in
   let exec s x = Stage.execute ?trace ?inject s x in
   let budget_ps = Spec.nominal_budget_ps spec lib.Library.node in
+  (* a retry re-evaluates structures an earlier attempt simulated *)
+  let activity = Design_point.Activity_memo.create () in
   let rec attempt acc boost =
-    let* sa = exec (search_stage lib scl ~boost) spec in
+    let* sa = exec (search_stage ~activity lib scl ~boost) spec in
     let* sa =
       exec (verify_stage ~engine:verify_engine ~enabled:policy.verify ()) sa
     in
@@ -651,7 +669,7 @@ let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy)
       let t0 = Unix.gettimeofday () in
       let k =
         Disk_cache.key
-          ~lib_fp:(Disk_cache.library_fingerprint (Ctx.lib ctx))
+          ~lib_fp:(Ctx.lib_fingerprint ctx)
           ~algo:(cache_algo_tag ~style policy)
           spec
       in

@@ -36,12 +36,47 @@ let throughput_tops (m : Macro_rtl.t) ~freq_hz =
   /. float_of_int (Macro_rtl.serial_cycles m)
   /. 1e12
 
-(** [measure_power lib m ~freq_hz ~vdd ~input_density ~weight_density
-    ~macs] loads sparse random weights and streams [macs] back-to-back
-    MACs. Exposed for the experiment harness, which uses the paper's
-    measurement sparsity. *)
-let measure_power ?(seed = 0xD1C) ?loads lib (m : Macro_rtl.t) ~freq_hz ~vdd
-    ~input_density ~weight_density ~macs =
+(** [config_key cfg] — canonical serialization of every
+    [Macro_rtl.config] field, i.e. of everything the built netlist
+    depends on. It keys the {!Activity_memo} and is the prefix of
+    {!Eval_cache.key}, so the two keys cannot drift apart. *)
+let config_key (cfg : Macro_rtl.config) : string =
+  let tree =
+    match cfg.Macro_rtl.tree with
+    | Adder_tree.Rca_tree -> "rca"
+    | Adder_tree.Csa { fa_ratio; reorder } ->
+        Printf.sprintf "csa:%h:%b" fa_ratio reorder
+  in
+  Printf.sprintf
+    "%dx%dx%d|i%s|w%s|cell%s|mul%s|tree%s|sa%s|split%d|rt%b|rca%b|rs%b|or%b|op%b|of%b|ap%d|ro%b|wc%b"
+    cfg.Macro_rtl.rows cfg.Macro_rtl.cols cfg.Macro_rtl.mcr
+    (Precision.name cfg.Macro_rtl.input_prec)
+    (Precision.name cfg.Macro_rtl.weight_prec)
+    (Cell.kind_to_string (Cell.Sram cfg.Macro_rtl.cell_kind))
+    (Cell.kind_to_string (Cell.Mul cfg.Macro_rtl.mul_kind))
+    tree
+    (Shift_adder.kind_name cfg.Macro_rtl.sa_kind)
+    cfg.Macro_rtl.tree_split cfg.Macro_rtl.reg_after_tree
+    cfg.Macro_rtl.retime_final_rca cfg.Macro_rtl.reg_sa_to_ofu
+    cfg.Macro_rtl.ofu_retime cfg.Macro_rtl.ofu_extra_pipe
+    cfg.Macro_rtl.ofu_fast_adder cfg.Macro_rtl.align_pipeline
+    cfg.Macro_rtl.reg_output cfg.Macro_rtl.with_controller
+
+(** The switching-activity counters of one finished scalar {!Sim} run:
+    everything {!Power.estimate_activity} reads from a simulation. *)
+type activity = {
+  toggles : int array;
+  en_cycles : int array;
+  cycles : int;
+  weight_flips : int;
+}
+
+(** [measure_activity m ~input_density ~weight_density ~macs] loads
+    sparse random weights and streams [macs] back-to-back MACs, returning
+    the counters. The simulator reads neither drives nor the clock, so the
+    result depends only on the built structure and the stimulus. *)
+let measure_activity ?(seed = 0xD1C) (m : Macro_rtl.t) ~input_density
+    ~weight_density ~macs : activity =
   let rng = Rng.create seed in
   let sim = Sim.create m.design in
   if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" 0;
@@ -49,7 +84,61 @@ let measure_power ?(seed = 0xD1C) ?loads lib (m : Macro_rtl.t) ~freq_hz ~vdd
     (Testbench.random_weights rng m ~density:weight_density);
   Sim.reset_stats sim;
   Testbench.run_stream m sim ~rng ~macs ~input_density;
-  Power.estimate m.design lib sim ~freq_hz ~vdd ?loads ()
+  {
+    toggles = sim.Sim.toggles;
+    en_cycles = sim.Sim.en_cycles;
+    cycles = sim.Sim.cycles;
+    weight_flips = sim.Sim.weight_flips;
+  }
+
+let power_of_activity ?loads lib (m : Macro_rtl.t) (a : activity) ~freq_hz
+    ~vdd =
+  Power.estimate_activity m.design lib ~toggles:a.toggles
+    ~en_cycles:a.en_cycles ~cycles:a.cycles ~weight_flips:a.weight_flips
+    ~freq_hz ~vdd ?loads ()
+
+(** [measure_power lib m ~freq_hz ~vdd ~input_density ~weight_density
+    ~macs] — {!measure_activity} priced at an operating point. Exposed
+    for the experiment harness, which uses the paper's measurement
+    sparsity. *)
+let measure_power ?seed ?loads lib (m : Macro_rtl.t) ~freq_hz ~vdd
+    ~input_density ~weight_density ~macs =
+  power_of_activity ?loads lib m
+    (measure_activity ?seed m ~input_density ~weight_density ~macs)
+    ~freq_hz ~vdd
+
+(* Nondeterministic for the same reason as the evaluation cache's
+   counters: racing domains may both miss a cold key. *)
+let m_activity_hits = Metrics.counter ~det:false "cache.activity.hits"
+let m_activity_misses = Metrics.counter ~det:false "cache.activity.misses"
+
+(** Search-time switching activity per structural configuration
+    ({!config_key}), for the lifetime of one compilation. Retry attempts
+    re-evaluate structures an earlier attempt already saw under a tighter
+    clock; sizing and timing change, but the activity does not, so the
+    memo spares the re-simulation. It holds counters only, never
+    netlists: a kept netlist per structure would cost far more memory
+    than the rebuild it saves. Mutex-guarded so it may be shared across
+    domains. *)
+module Activity_memo = struct
+  type t = { tbl : (string, activity) Hashtbl.t; lock : Mutex.t }
+
+  let create () = { tbl = Hashtbl.create 16; lock = Mutex.create () }
+
+  (** [find_or_measure t key measure] — the stored activity of [key], or
+      [measure ()] stored under it. *)
+  let find_or_measure t key measure =
+    match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl key) with
+    | Some a ->
+        Metrics.incr m_activity_hits;
+        a
+    | None ->
+        let a = measure () in
+        Metrics.incr m_activity_misses;
+        Mutex.protect t.lock (fun () ->
+            if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key a);
+        a
+end
 
 (** [measure_power_packed lib m ~freq_hz ~vdd ~input_density
     ~weight_density ~macs] — the bit-sliced Monte Carlo form of
@@ -96,19 +185,30 @@ let measure_power_sliced (module E : Slice.S) ?(seed = 0xD1C) ?loads
     ~cycles:(E.cycles sim * E.lanes_of sim)
     ~weight_flips:(E.weight_flips sim) ~freq_hz ~vdd ?loads ()
 
-(** [evaluate lib spec cfg] builds and measures one candidate. *)
-let evaluate (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config) : t =
+(** [evaluate ?activity lib spec cfg] builds and measures one candidate;
+    [activity] reuses the switching activity of a structure measured
+    before. *)
+let evaluate ?activity (lib : Library.t) (spec : Spec.t)
+    (cfg : Macro_rtl.config) : t =
   let macro = Macro_rtl.build lib cfg in
   let budget = Spec.search_budget_ps spec lib.Library.node in
+  (* sizing's last analysis is the timing of the sized design, and its
+     load map serves power too *)
   let sized = Sizing.speed_up macro.design lib ~target_ps:budget in
-  (* drives are final after sizing: one load map serves STA and power *)
-  let loads = Ir.fanout_loads macro.design lib () in
-  let sta = Sta.analyze ~loads macro.design lib in
+  let sta = sized.Sizing.sta in
   let stats = Stats.of_design macro.design lib in
-  let power =
-    measure_power ~loads lib macro ~freq_hz:spec.Spec.mac_freq_hz
-      ~vdd:spec.Spec.vdd ~input_density:search_input_density
+  let measure () =
+    measure_activity macro ~input_density:search_input_density
       ~weight_density:search_weight_density ~macs:search_macs
+  in
+  let act =
+    match activity with
+    | Some memo -> Activity_memo.find_or_measure memo (config_key cfg) measure
+    | None -> measure ()
+  in
+  let power =
+    power_of_activity ~loads:sized.Sizing.loads lib macro act
+      ~freq_hz:spec.Spec.mac_freq_hz ~vdd:spec.Spec.vdd
   in
   let wupd_ps =
     Driver.weight_update_ps lib ~rows:spec.Spec.rows

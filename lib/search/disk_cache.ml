@@ -78,7 +78,7 @@ let library_fingerprint (lib : Library.t) : string =
                p.Library.drive_res_ps_per_ff p.Library.energy_fj
                p.Library.clock_energy_fj p.Library.leakage_nw
                p.Library.setup_ps p.Library.clk_q_ps))
-        [ Cell.X1; Cell.X2; Cell.X4 ])
+        Cell.all_drives)
     Cell.all_kinds;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -114,6 +114,23 @@ type value = {
   attempts : int;
   boost : float;
 }
+
+(* The first float field of [v] that is not finite, by name. A NaN or
+   infinite PPA is a compile that went wrong, never a result to keep. *)
+let non_finite_field (v : value) =
+  List.find_map
+    (fun (name, x) -> if Float.is_finite x then None else Some name)
+    [
+      ("crit_ps", v.crit_ps);
+      ("fmax_ghz", v.fmax_ghz);
+      ("power_w", v.power_w);
+      ("area_mm2", v.area_mm2);
+      ("tops", v.tops);
+      ("tops_per_w", v.tops_per_w);
+      ("tops_per_mm2", v.tops_per_mm2);
+      ("ops_norm", v.ops_norm);
+      ("boost", v.boost);
+    ]
 
 let render_value (key : string) (v : value) : string =
   let b = Buffer.create 512 in
@@ -194,22 +211,27 @@ let parse_value ~key text : value =
     | None -> fail ("bad bool in field " ^ k)
   in
   if str "key" <> key then fail "entry key does not match its address";
-  {
-    spec_desc = str "spec";
-    crit_ps = flt "crit_ps";
-    fmax_ghz = flt "fmax_ghz";
-    power_w = flt "power_w";
-    area_mm2 = flt "area_mm2";
-    tops = flt "tops";
-    tops_per_w = flt "tops_per_w";
-    tops_per_mm2 = flt "tops_per_mm2";
-    ops_norm = flt "ops_norm";
-    timing_closed = bool "timing_closed";
-    insts = int "insts";
-    nets = int "nets";
-    attempts = int "attempts";
-    boost = flt "boost";
-  }
+  let v =
+    {
+      spec_desc = str "spec";
+      crit_ps = flt "crit_ps";
+      fmax_ghz = flt "fmax_ghz";
+      power_w = flt "power_w";
+      area_mm2 = flt "area_mm2";
+      tops = flt "tops";
+      tops_per_w = flt "tops_per_w";
+      tops_per_mm2 = flt "tops_per_mm2";
+      ops_norm = flt "ops_norm";
+      timing_closed = bool "timing_closed";
+      insts = int "insts";
+      nets = int "nets";
+      attempts = int "attempts";
+      boost = flt "boost";
+    }
+  in
+  match non_finite_field v with
+  | Some name -> fail ("non-finite value in field " ^ name)
+  | None -> v
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
@@ -348,25 +370,29 @@ let lookup (t : t) (key : string) : lookup =
     store directory, then [rename] over the final name, so a concurrent
     reader (or a second writer racing on the same key) only ever sees a
     complete entry. Write failures are swallowed: the cache is an
-    accelerator, and a read-only or full disk must not fail the build. *)
+    accelerator, and a read-only or full disk must not fail the build.
+    A value with a non-finite float is refused: nothing is written. *)
 let store (t : t) (key : string) (v : value) : unit =
-  let path = path_of_key t key in
-  let tmp =
-    Filename.concat t.root
-      (Printf.sprintf ".tmp-%s-%d-%d" key (Unix.getpid ())
-         (Atomic.fetch_and_add t.tmp_seq 1))
-  in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (render_value key v));
-    Sys.rename tmp path
-  with
-  | () ->
-      Atomic.incr t.store_n;
-      Metrics.incr m_stores
-  | exception Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ())
+  match non_finite_field v with
+  | Some _ -> ()
+  | None -> (
+      let path = path_of_key t key in
+      let tmp =
+        Filename.concat t.root
+          (Printf.sprintf ".tmp-%s-%d-%d" key (Unix.getpid ())
+             (Atomic.fetch_and_add t.tmp_seq 1))
+      in
+      match
+        let oc = open_out_bin tmp in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () -> output_string oc (render_value key v));
+        Sys.rename tmp path
+      with
+      | () ->
+          Atomic.incr t.store_n;
+          Metrics.incr m_stores
+      | exception Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
 
 let stats (t : t) : stats =
   {

@@ -35,43 +35,29 @@ type t = {
   locks : Mutex.t array;
   hits : int Atomic.t;
   misses : int Atomic.t;
+  activity : Design_point.Activity_memo.t option;
+      (** shared with other caches of the same compilation *)
 }
 
-let create () =
+(** [create ?activity ()] — an empty cache; misses evaluate through
+    [activity] when given. *)
+let create ?activity () =
   {
     shards = Array.init shard_count (fun _ -> Hashtbl.create 64);
     locks = Array.init shard_count (fun _ -> Mutex.create ());
     hits = Atomic.make 0;
     misses = Atomic.make 0;
+    activity;
   }
 
 (* Canonical serialization of everything [Design_point.evaluate] reads:
-   every [Macro_rtl.config] field plus the spec's operating point (MAC and
-   weight-update frequency targets and VDD — the preference does not
-   influence an evaluation, which is exactly why walks under different
-   preferences can share entries). Floats print as %h so distinct
-   operating points can never collide. *)
+   the structural key ({!Design_point.config_key}) plus the spec's
+   operating point (MAC and weight-update frequency targets and VDD — the
+   preference does not influence an evaluation, which is exactly why
+   walks under different preferences can share entries). Floats print as
+   %h so distinct operating points can never collide. *)
 let key (spec : Spec.t) (cfg : Macro_rtl.config) : string =
-  let tree =
-    match cfg.Macro_rtl.tree with
-    | Adder_tree.Rca_tree -> "rca"
-    | Adder_tree.Csa { fa_ratio; reorder } ->
-        Printf.sprintf "csa:%h:%b" fa_ratio reorder
-  in
-  Printf.sprintf
-    "%dx%dx%d|i%s|w%s|cell%s|mul%s|tree%s|sa%s|split%d|rt%b|rca%b|rs%b|or%b|op%b|of%b|ap%d|ro%b|wc%b|f%h|wu%h|v%h"
-    cfg.Macro_rtl.rows cfg.Macro_rtl.cols cfg.Macro_rtl.mcr
-    (Precision.name cfg.Macro_rtl.input_prec)
-    (Precision.name cfg.Macro_rtl.weight_prec)
-    (Cell.kind_to_string (Cell.Sram cfg.Macro_rtl.cell_kind))
-    (Cell.kind_to_string (Cell.Mul cfg.Macro_rtl.mul_kind))
-    tree
-    (Shift_adder.kind_name cfg.Macro_rtl.sa_kind)
-    cfg.Macro_rtl.tree_split cfg.Macro_rtl.reg_after_tree
-    cfg.Macro_rtl.retime_final_rca cfg.Macro_rtl.reg_sa_to_ofu
-    cfg.Macro_rtl.ofu_retime cfg.Macro_rtl.ofu_extra_pipe
-    cfg.Macro_rtl.ofu_fast_adder cfg.Macro_rtl.align_pipeline
-    cfg.Macro_rtl.reg_output cfg.Macro_rtl.with_controller
+  Printf.sprintf "%s|f%h|wu%h|v%h" (Design_point.config_key cfg)
     spec.Spec.mac_freq_hz spec.Spec.weight_update_freq_hz spec.Spec.vdd
 
 let shard_of t k = Hashtbl.hash k mod Array.length t.shards
@@ -90,7 +76,7 @@ let evaluate (t : t) lib (spec : Spec.t) (cfg : Macro_rtl.config) :
       Metrics.incr m_hits;
       p
   | None ->
-      let p = Design_point.evaluate lib spec cfg in
+      let p = Design_point.evaluate ?activity:t.activity lib spec cfg in
       Atomic.incr t.misses;
       Metrics.incr m_misses;
       Mutex.protect lock (fun () ->

@@ -8,6 +8,10 @@ type result = {
   before_ps : float;
   after_ps : float;
   upsized : int;  (** number of drive bumps applied *)
+  sta : Sta.report;
+      (** the last analysis; every exit leaves the drives as they were
+          when it ran, so it is the timing of the sized design *)
+  loads : float array;  (** the fanout-load map that analysis used *)
 }
 
 let bump = function
@@ -19,7 +23,8 @@ let bump = function
     sequential cell whose output has negative slack until the nominal
     critical path meets [target_ps], sizing saturates, or the round budget
     (enough for the X1→X2→X4 ladder plus load-feedback settling) runs
-    out. Mutates instance drives in place. *)
+    out. Mutates instance drives in place, and returns the timing and
+    load map of the sized design so callers need not recompute them. *)
 let speed_up ?(max_rounds = 6) ?(wire_cap = fun (_ : Ir.net) -> 0.0)
     (d : Ir.design) (lib : Library.t) ~target_ps =
   (* one load map and one STA per round, shared between the forward pass
@@ -32,7 +37,7 @@ let speed_up ?(max_rounds = 6) ?(wire_cap = fun (_ : Ir.net) -> 0.0)
   let before = r0.Sta.crit_ps in
   let upsized = ref 0 in
   let rec go round (r : Sta.report) loads =
-    if r.Sta.crit_ps <= target_ps || round >= max_rounds then r.Sta.crit_ps
+    if r.Sta.crit_ps <= target_ps || round >= max_rounds then (r, loads)
     else begin
       let slack = Sta.slacks r d lib ~wire_cap ~loads ~target_ps () in
       let changed = ref false in
@@ -50,14 +55,14 @@ let speed_up ?(max_rounds = 6) ?(wire_cap = fun (_ : Ir.net) -> 0.0)
                   changed := true
               | None -> ())
         d.insts;
-      if not !changed then r.Sta.crit_ps
+      if not !changed then (r, loads)
       else
         let r', loads' = analyze () in
         go (round + 1) r' loads'
     end
   in
-  let after = go 0 r0 loads0 in
-  { before_ps = before; after_ps = after; upsized = !upsized }
+  let sta, loads = go 0 r0 loads0 in
+  { before_ps = before; after_ps = sta.Sta.crit_ps; upsized = !upsized; sta; loads }
 
 (** [relax d] returns every instance to X1 (minimum power/area), e.g.
     before re-running a power-preferring fine-tune. *)

@@ -132,10 +132,11 @@ let test_key_library_sensitivity () =
   let lib' =
     {
       lib with
-      Library.get =
-        (fun k d ->
-          let p = lib.Library.get k d in
-          { p with Library.area_um2 = p.Library.area_um2 *. (1.0 +. 1e-9) });
+      Library.table =
+        Array.map
+          (fun (p : Library.params) ->
+            { p with Library.area_um2 = p.Library.area_um2 *. (1.0 +. 1e-9) })
+          lib.Library.table;
     }
   in
   let fp' = Disk_cache.library_fingerprint lib' in
@@ -460,6 +461,57 @@ let test_failed_spec_is_an_item () =
         | _ -> false)
   | _ -> Alcotest.fail "bad spec did not fail its item"
 
+(* Non-finite operating points, as the manifest parser reads them: each
+   fails its own item with a one-line diagnostic naming the spec field,
+   and nothing reaches the cache. *)
+let test_non_finite_specs_rejected () =
+  let dir = scratch () in
+  let c = open_cache dir in
+  let probes =
+    [
+      ("freq_mhz=nan", "mac_freq_hz");
+      ("freq_mhz=inf", "mac_freq_hz");
+      ("vdd=nan", "vdd");
+      ("wupd_mhz=nan", "weight_update_freq_hz");
+    ]
+  in
+  let specs =
+    List.map
+      (fun (field, _) ->
+        match Batch.parse_spec_line ("rows=16 cols=16 " ^ field) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s did not parse: %s" field e)
+      probes
+  in
+  let r = Batch.run ~jobs:1 ~cache:c ctx specs in
+  check_int "every probe fails" (List.length probes) r.Batch.failed;
+  List.iter2
+    (fun (line, field) (item : Batch.item) ->
+      match item.Batch.outcome with
+      | Ok _ -> Alcotest.failf "%s compiled" line
+      | Error d ->
+          ignore (one_line d);
+          check_bool (line ^ ": names " ^ field) true
+            (List.mem_assoc field d.Diag.payload))
+    probes r.Batch.items;
+  check_int "nothing stored" 0 (Disk_cache.entry_count c);
+  rm_rf dir
+
+let test_non_finite_values_not_cached () =
+  let dir = scratch () in
+  let c = open_cache dir in
+  let k = key small_spec in
+  let bad = { sample_value with Disk_cache.power_w = Float.nan } in
+  Disk_cache.store c k bad;
+  check_int "store refused" 0 (Disk_cache.entry_count c);
+  (* an entry that is intact but non-finite is corrupt, not a hit *)
+  write_file (Disk_cache.path_of_key c k) (Disk_cache.render_value k bad);
+  (match Disk_cache.lookup c k with
+  | Disk_cache.Corrupt _ -> ()
+  | Disk_cache.Hit _ -> Alcotest.fail "non-finite entry served as a hit"
+  | Disk_cache.Miss -> Alcotest.fail "non-finite entry reported Miss");
+  rm_rf dir
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_key_field_order; prop_key_perturbation; prop_value_roundtrip ]
@@ -484,6 +536,8 @@ let () =
           Alcotest.test_case "concurrent writers" `Quick
             test_concurrent_writers;
           Alcotest.test_case "stale temp sweep" `Quick test_stale_temp_sweep;
+          Alcotest.test_case "non-finite values not cached" `Quick
+            test_non_finite_values_not_cached;
         ] );
       ( "validation",
         [
@@ -492,6 +546,8 @@ let () =
           Alcotest.test_case "CRLF manifests" `Quick test_manifest_crlf;
           Alcotest.test_case "jobs" `Quick test_jobs_validation;
           Alcotest.test_case "cache dir" `Quick test_cache_dir_validation;
+          Alcotest.test_case "non-finite specs rejected" `Quick
+            test_non_finite_specs_rejected;
         ] );
       ( "determinism",
         [

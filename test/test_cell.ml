@@ -191,6 +191,28 @@ let test_lef_text () =
     (String.length s > 12
     && String.sub s (String.length s - 12) 11 = "END LIBRARY")
 
+(* ---------------- dense parameter table ---------------- *)
+
+let test_dense_table () =
+  let n = Cell.n_kinds * Cell.n_drives in
+  check_int "table size" n (Array.length lib.Library.table);
+  let seen = Array.make n 0 in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun d ->
+          let s = Library.slot k d in
+          check_bool "slot in range" true (s >= 0 && s < n);
+          seen.(s) <- seen.(s) + 1;
+          check_bool
+            (Printf.sprintf "%s@%s record" (Cell.kind_to_string k)
+               (Cell.drive_to_string d))
+            true
+            (Library.params lib k d = Library.apply_drive (Library.base_params k) d))
+        Cell.all_drives)
+    Cell.all_kinds;
+  check_bool "slot is a bijection" true (Array.for_all (fun c -> c = 1) seen)
+
 let () =
   Alcotest.run "cell"
     [
@@ -214,6 +236,7 @@ let () =
           Alcotest.test_case "paper claims encoded" `Quick
             test_paper_cell_claims;
           Alcotest.test_case "drive scaling" `Quick test_drive_scaling;
+          Alcotest.test_case "dense parameter table" `Quick test_dense_table;
           Alcotest.test_case "load dependence" `Quick
             test_delay_load_dependence;
         ] );

@@ -317,7 +317,18 @@ let test_ctx_builders () =
   check_bool "default shares the world" true
     (Ctx.lib (Ctx.default ()) == Ctx.lib (Ctx.default ()));
   check_bool "fresh isolates the world" true
-    (Ctx.lib (Ctx.fresh ()) != Ctx.lib (Ctx.default ()))
+    (Ctx.lib (Ctx.fresh ()) != Ctx.lib (Ctx.default ()));
+  (* the held fingerprint is the one a fresh computation gives *)
+  List.iter
+    (fun (name, c) ->
+      check_string (name ^ " library fingerprint")
+        (Disk_cache.library_fingerprint (Ctx.lib c))
+        (Ctx.lib_fingerprint c))
+    [
+      ("default", Ctx.default ());
+      ("fresh", Ctx.fresh ());
+      ("of_parts", Ctx.of_parts (Ctx.lib ctx) (Ctx.scl ctx));
+    ]
 
 let () =
   Alcotest.run "ctx"

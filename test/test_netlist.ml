@@ -375,6 +375,95 @@ let qtest_rca_random =
       in
       run [ ("a", a); ("b", b) ] = a + b)
 
+(* ---------------- the compiled tape ---------------- *)
+
+let bits n v = Array.init n (fun b -> (v lsr b) land 1 = 1)
+
+(* One instance of every combinational kind, driven through all 2^n
+   input patterns in order: the tape's outputs must equal [Cell.eval],
+   and each output's toggle count must equal the changes of [Cell.eval]
+   between consecutive patterns (from the all-zero power-up state). *)
+let test_tape_every_kind () =
+  List.iter
+    (fun k ->
+      if not (Cell.is_sequential k || Cell.is_storage k) then begin
+        let n = Cell.n_inputs k and m = Cell.n_outputs k in
+        let ir = Ir.create () in
+        let a = Ir.new_bus ir n and y = Ir.new_bus ir m in
+        Ir.add_input ir "a" a;
+        ignore (Ir.add ir k ~ins:a ~outs:y);
+        Ir.add_output ir "y" y;
+        let sim = Sim.create (Ir.freeze ir) in
+        let name = Cell.kind_to_string k in
+        let prev = ref (Array.make m false) and toggles = Array.make m 0 in
+        for v = 0 to (1 lsl n) - 1 do
+          Sim.set_bus sim "a" v;
+          Sim.eval sim;
+          let want = Cell.eval k (bits n v) in
+          Array.iteri
+            (fun o net ->
+              if want.(o) <> !prev.(o) then toggles.(o) <- toggles.(o) + 1;
+              check_bool
+                (Printf.sprintf "%s out %d on %d" name o v)
+                want.(o) sim.Sim.values.(net))
+            y;
+          prev := want
+        done;
+        Array.iteri
+          (fun o net ->
+            check_int (Printf.sprintf "%s out %d toggles" name o) toggles.(o)
+              sim.Sim.toggles.(net))
+          y
+      end)
+    Cell.all_kinds
+
+(* Specgen macros, with the multiplier variant drawn too so the mux
+   cells and the fused multiplier appear: after every random cycle the
+   tape simulator and the reference interpreter hold identical net values
+   and toggle counts. *)
+let qtest_tape_vs_reference =
+  QCheck.Test.make ~name:"tape sim = reference interpreter on Specgen macros"
+    ~count:12 QCheck.small_nat (fun seed ->
+      let spec = List.hd (Specgen.generate ~seed ~count:1) in
+      let mul_kind =
+        match seed mod 3 with
+        | 0 -> Cell.Tg_nor
+        | 1 -> Cell.Pass_1t
+        | _ -> if spec.Spec.mcr <= 2 then Cell.Oai22_fused else Cell.Tg_nor
+      in
+      let m =
+        Macro_rtl.build lib { (Spec.initial_config spec) with Macro_rtl.mul_kind }
+      in
+      let d = m.Macro_rtl.design in
+      let tape = Sim.create d and reference = Sim.create d in
+      let rng = Random.State.make [| seed |] in
+      Hashtbl.iter
+        (fun (row, col, copy) _ ->
+          let bit = Random.State.bool rng in
+          Sim.set_weight tape ~row ~col ~copy bit;
+          Sim.set_weight reference ~row ~col ~copy bit)
+        d.Ir.weight_index;
+      let same () =
+        tape.Sim.values = reference.Sim.values
+        && tape.Sim.toggles = reference.Sim.toggles
+      in
+      let ok = ref true in
+      for _ = 1 to 24 do
+        List.iter
+          (fun (name, bus) ->
+            let v = Random.State.bits rng land ((1 lsl Array.length bus) - 1) in
+            Sim.set_bus tape name v;
+            Sim.set_bus reference name v)
+          d.Ir.src.Ir.inputs;
+        Sim.eval tape;
+        Ref_sim.eval reference;
+        ok := !ok && same ();
+        Sim.clock tape;
+        Sim.clock reference;
+        ok := !ok && same ()
+      done;
+      !ok)
+
 let () =
   Alcotest.run "netlist"
     [
@@ -418,6 +507,12 @@ let () =
           Alcotest.test_case "sim determinism" `Quick test_sim_determinism;
           Alcotest.test_case "reset stats" `Quick test_reset_stats;
           Alcotest.test_case "missing bus" `Quick test_missing_bus;
+        ] );
+      ( "tape",
+        [
+          Alcotest.test_case "every combinational kind" `Quick
+            test_tape_every_kind;
+          QCheck_alcotest.to_alcotest qtest_tape_vs_reference;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qtest_rca_random ]);
     ]

@@ -149,6 +149,63 @@ let test_trace_determinism_across_jobs () =
       check_string (Printf.sprintf "fingerprint %d" i) s p)
     (List.combine serial parallel)
 
+(* ---------------- activity reuse across retry attempts ---------------- *)
+
+(* Fig. 8 retries twice. Each attempt's search, re-run on its own without
+   the activity memo, must report the same evaluation-cache counters, and
+   the winning attempt's candidates must carry the same PPA bit for bit.
+   The counts pin how much the memo saves: 19 evaluations of 11
+   structures. *)
+let test_activity_memo_fig8 () =
+  let misses = Metrics.counter ~det:false "cache.activity.misses" in
+  let hits = Metrics.counter ~det:false "cache.activity.hits" in
+  let m0 = Metrics.counter_value misses and h0 = Metrics.counter_value hits in
+  match Pipeline.run ctx Spec.fig8 with
+  | Error d -> Alcotest.failf "fig8 failed: %s" (Diag.to_string d)
+  | Ok r ->
+      let attempts = r.Pipeline.attempts in
+      let evaluations =
+        List.fold_left
+          (fun acc (a : Pipeline.attempt) ->
+            acc + a.Pipeline.attempt_cache.Eval_cache.misses)
+          0 attempts
+      in
+      check_int "attempts" 3 (List.length attempts);
+      check_int "evaluations" 19 evaluations;
+      check_int "structures simulated" 11 (Metrics.counter_value misses - m0);
+      check_int "simulations reused" 8 (Metrics.counter_value hits - h0);
+      let same (p : Design_point.t) (q : Design_point.t) =
+        Int64.bits_of_float p.Design_point.crit_ps
+        = Int64.bits_of_float q.Design_point.crit_ps
+        && Int64.bits_of_float p.Design_point.area_um2
+           = Int64.bits_of_float q.Design_point.area_um2
+        && Int64.bits_of_float p.Design_point.power_w
+           = Int64.bits_of_float q.Design_point.power_w
+        && p.Design_point.upsized = q.Design_point.upsized
+      in
+      List.iteri
+        (fun i (a : Pipeline.attempt) ->
+          match
+            Stage.execute
+              (Pipeline.search_stage lib scl ~boost:a.Pipeline.attempt_boost)
+              Spec.fig8
+          with
+          | Error d -> Alcotest.failf "attempt %d: %s" i (Diag.to_string d)
+          | Ok sa ->
+              check_bool
+                (Printf.sprintf "attempt %d eval-cache stats" i)
+                true
+                (sa.Pipeline.cache = a.Pipeline.attempt_cache);
+              if i = List.length attempts - 1 then begin
+                let visited = r.Pipeline.artifact.Pipeline.search.Searcher.visited in
+                let alone = sa.Pipeline.search.Searcher.visited in
+                check_int "winning attempt candidates" (List.length visited)
+                  (List.length alone);
+                check_bool "winning attempt PPA bit for bit" true
+                  (List.for_all2 same visited alone)
+              end)
+        attempts
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -174,5 +231,10 @@ let () =
             test_trace_has_all_stages;
           Alcotest.test_case "fingerprints stable for any job count" `Slow
             test_trace_determinism_across_jobs;
+        ] );
+      ( "activity",
+        [
+          Alcotest.test_case "fig8 memo: same PPA, 11 of 19 simulated" `Slow
+            test_activity_memo_fig8;
         ] );
     ]
