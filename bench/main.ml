@@ -83,7 +83,7 @@ let sorted xs =
   Array.sort compare xs;
   xs
 
-let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
+let write_results ~jobs ~seq_s ~par_s ~packed_16 ~packed_fig8
     ~signoff_batches ~signoff_scalar_cps ~signoff_packed_cps ~shmoo_lanes
     ~shmoo_scalar_s ~shmoo_packed_s ~mw_packed_cps ~mw_candidates
     ~mw_default ~mw_autodetect ~service_cold_s ~service_warm_s
@@ -105,13 +105,16 @@ let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
         \"speedup\": %.6g},\n"
        seq_s par_s
        (if par_s > 0.0 then seq_s /. par_s else 0.0));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"packed_sim\": {\"lanes\": %d, \"scalar_lane_cps\": %.6g, \
-        \"packed_lane_cps\": %.6g, \"speedup\": %.6g},\n"
-       Sim_packed.lanes packed_scalar_cps packed_cps
-       (if packed_scalar_cps > 0.0 then packed_cps /. packed_scalar_cps
-        else 0.0));
+  let packed_row key (scalar_cps, packed_cps) =
+    Buffer.add_string b
+      (Printf.sprintf
+         "  \"%s\": {\"lanes\": %d, \"scalar_lane_cps\": %.6g, \
+          \"packed_lane_cps\": %.6g, \"speedup\": %.6g},\n"
+         key Sim_packed.lanes scalar_cps packed_cps
+         (if scalar_cps > 0.0 then packed_cps /. scalar_cps else 0.0))
+  in
+  packed_row "packed_sim" packed_16;
+  packed_row "packed_sim_fig8" packed_fig8;
   Buffer.add_string b
     (Printf.sprintf
        "  \"packed_signoff\": {\"batches\": %d, \"scalar_checks_ps\": %.6g, \
@@ -250,14 +253,10 @@ let () =
   (* throughput unit: simulated lane-cycles per second — the scalar
      engine advances 1 lane per cycle, the packed engine 63. Best of
      three runs on the smallest canonical macro, so the CI bound stays
-     meaningful on a noisy shared runner. *)
-  let packed_scalar_cps, packed_cps =
-    let m =
-      Macro_rtl.build lib
-        (Macro_rtl.default ~rows:16 ~cols:16 ~mcr:1
-           ~input_prec:Precision.int8 ~weight_prec:Precision.int8)
-    in
-    let macs = if quick then 200 else 500 in
+     meaningful on a noisy shared runner, and on the Fig. 8 macro
+     (64x64 MCR-2), the size the kernel's speed is judged at. *)
+  let packed_rates label (cfg : Macro_rtl.config) ~macs =
+    let m = Macro_rtl.build lib cfg in
     let best_of n f =
       let best = ref infinity and cycles = ref 0 in
       for _ = 1 to n do
@@ -293,15 +292,26 @@ let () =
       packed_cycles *. float_of_int Sim_packed.lanes /. packed_s
     in
     Printf.printf
-      "16x16 INT8, %d MACs/run, best of 3:\n\
+      "%s INT8, %d MACs/run, best of 3:\n\
       \  scalar: %.0f cycles in %.3f s  = %.3g lane-cycles/s\n\
       \  packed: %.0f cycles x %d lanes in %.3f s = %.3g lane-cycles/s\n\
        speedup: %.1fx\n\
        %!"
-      macs scalar_cycles scalar_s scalar_cps packed_cycles Sim_packed.lanes
-      packed_s packed_cps
+      label macs scalar_cycles scalar_s scalar_cps packed_cycles
+      Sim_packed.lanes packed_s packed_cps
       (packed_cps /. scalar_cps);
     (scalar_cps, packed_cps)
+  in
+  let packed_16 =
+    packed_rates "16x16"
+      (Macro_rtl.default ~rows:16 ~cols:16 ~mcr:1 ~input_prec:Precision.int8
+         ~weight_prec:Precision.int8)
+      ~macs:(if quick then 200 else 500)
+  in
+  let packed_fig8 =
+    packed_rates "Fig. 8 64x64 MCR-2"
+      (Spec.initial_config Spec.fig8)
+      ~macs:(if quick then 40 else 120)
   in
 
   (* ---------------- multi-word simulation throughput ---------------- *)
@@ -625,7 +635,7 @@ let () =
           | Some _ | None -> Printf.printf "  %-36s (no estimate)\n%!" name)
         results)
     tests;
-  write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
+  write_results ~jobs ~seq_s ~par_s ~packed_16 ~packed_fig8
     ~signoff_batches ~signoff_scalar_cps ~signoff_packed_cps ~shmoo_lanes
     ~shmoo_scalar_s ~shmoo_packed_s ~mw_packed_cps ~mw_candidates
     ~mw_default ~mw_autodetect ~service_cold_s ~service_warm_s ~metrics;

@@ -151,7 +151,7 @@ let verify_batches = 2
 
 (* Reject malformed specs with a spec-context diagnostic before they can
    trip an [invalid_arg] deep inside Macro_rtl/Mulmux. *)
-let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
+let validate (node : Node.t) (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
   let err msg payload = Error (Diag.error ~stage:stage_search ~spec ~payload msg) in
   let is_pow2 n = n > 0 && n land (n - 1) = 0 in
   let wb = Precision.datapath_bits spec.Spec.weight_prec in
@@ -187,6 +187,15 @@ let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
         if spec.Spec.mac_freq_hz <= 0.0 || spec.Spec.weight_update_freq_hz <= 0.0
         then err "clock targets must be positive" []
         else if spec.Spec.vdd <= 0.0 then err "operating voltage must be positive" []
+        else if not (Voltage.modeled node ~vdd:spec.Spec.vdd) then
+          err
+            (Printf.sprintf
+               "vdd must be above the %s model's floor of %.2f V" node.Node.name
+               (Voltage.vdd_floor node))
+            [
+              ("vdd", Printf.sprintf "%g" spec.Spec.vdd);
+              ("vdd_floor", Printf.sprintf "%g" (Voltage.vdd_floor node));
+            ]
         else Ok ()
 
 (** Stage 1 — MSO search under [boost]-tightened internal clock.
@@ -194,7 +203,7 @@ let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
     the same compilation. *)
 let search_stage ?activity lib scl ~boost : (Spec.t, search_art) Stage.t =
   Stage.v stage_search (fun (spec : Spec.t) ->
-      let* () = validate spec in
+      let* () = validate lib.Library.node spec in
       let* search, cache =
         Diag.guard ~stage:stage_search ~spec (fun () ->
             let cache = Eval_cache.create ?activity () in

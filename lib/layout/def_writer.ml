@@ -25,19 +25,18 @@ let to_string lib (p : Floorplan.t) =
   (* nets, driver first *)
   let live =
     Array.to_list (Array.init d.n_nets Fun.id)
-    |> List.filter (fun n -> n > 1 && d.consumers.(n) <> [])
+    |> List.filter (fun n -> n > 1 && Ir.n_consumers d n > 0)
   in
   Buffer.add_string b (Printf.sprintf "NETS %d ;\n" (List.length live));
   List.iter
     (fun n ->
       Buffer.add_string b (Printf.sprintf "  - n%d" n);
-      (match d.driver.(n) with
-      | Some (i, o) -> Buffer.add_string b (Printf.sprintf " ( u%d O%d )" i o)
-      | None -> ());
-      List.iter
-        (fun (i, pin) ->
-          Buffer.add_string b (Printf.sprintf " ( u%d I%d )" i pin))
-        d.consumers.(n);
+      let i = Ir.driver d n in
+      if i >= 0 then
+        Buffer.add_string b
+          (Printf.sprintf " ( u%d O%d )" i (Ir.driver_pin d n));
+      Ir.iter_consumers d n (fun i pin ->
+          Buffer.add_string b (Printf.sprintf " ( u%d I%d )" i pin));
       Buffer.add_string b " ;\n")
     live;
   Buffer.add_string b "END NETS\nEND DESIGN\n";

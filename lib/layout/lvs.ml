@@ -38,8 +38,7 @@ let check (p : Floorplan.t) : report =
       if net > 1 && c > 0 then begin
         incr nets_checked;
         let expected =
-          List.length d.consumers.(net)
-          + match d.driver.(net) with Some _ -> 1 | None -> 0
+          Ir.n_consumers d net + if Ir.driver d net >= 0 then 1 else 0
         in
         if expected <> c then
           errors := Printf.sprintf "net %d pin mismatch" net :: !errors

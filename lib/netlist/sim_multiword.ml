@@ -193,53 +193,55 @@ let storage_state_lane t lane : bool array =
     active lane performs a write; only flipped lanes are charged a
     flip. *)
 let set_weight_lanes t ~row ~col ~copy (bits : bool array) =
-  match Hashtbl.find_opt t.d.weight_index (row, col, copy) with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Sim_multiword.set_weight_lanes: no weight bit (%d,%d,%d)"
-           row col copy)
-  | Some i ->
-      t.weight_writes <- t.weight_writes + t.n_lanes;
-      let n = min (Array.length bits) t.n_lanes in
-      let out = t.d.insts.(i).outs.(0) in
-      for w = 0 to t.words - 1 do
-        let lo = w * word_lanes in
-        let hi = min n (lo + word_lanes) in
-        let v = ref 0 in
-        for l = lo to hi - 1 do
-          if bits.(l) then v := !v lor (1 lsl (l - lo))
-        done;
-        let v = !v land t.masks.(w) in
-        let idx = (i * t.words) + w in
-        let old = t.storage_state.(idx) in
-        if old <> v then begin
-          t.storage_state.(idx) <- v;
-          t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor v)
-        end;
-        set_net_word t out w v
-      done
+  let i = Ir.weight_inst t.d ~row ~col ~copy in
+  if i < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim_multiword.set_weight_lanes: no weight bit (%d,%d,%d)"
+         row col copy)
+  else begin
+    t.weight_writes <- t.weight_writes + t.n_lanes;
+    let n = min (Array.length bits) t.n_lanes in
+    let out = t.d.insts.(i).outs.(0) in
+    for w = 0 to t.words - 1 do
+      let lo = w * word_lanes in
+      let hi = min n (lo + word_lanes) in
+      let v = ref 0 in
+      for l = lo to hi - 1 do
+        if bits.(l) then v := !v lor (1 lsl (l - lo))
+      done;
+      let v = !v land t.masks.(w) in
+      let idx = (i * t.words) + w in
+      let old = t.storage_state.(idx) in
+      if old <> v then begin
+        t.storage_state.(idx) <- v;
+        t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor v)
+      end;
+      set_net_word t out w v
+    done
+  end
 
 (** [set_weight_all t ~row ~col ~copy bit] — the broadcast form: every
     lane stores the same [bit]. *)
 let set_weight_all t ~row ~col ~copy bit =
-  match Hashtbl.find_opt t.d.weight_index (row, col, copy) with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Sim_multiword.set_weight_all: no weight bit (%d,%d,%d)"
-           row col copy)
-  | Some i ->
-      t.weight_writes <- t.weight_writes + t.n_lanes;
-      let out = t.d.insts.(i).outs.(0) in
-      for w = 0 to t.words - 1 do
-        let v = if bit then t.masks.(w) else 0 in
-        let idx = (i * t.words) + w in
-        let old = t.storage_state.(idx) in
-        if old <> v then begin
-          t.storage_state.(idx) <- v;
-          t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor v)
-        end;
-        set_net_word t out w v
-      done
+  let i = Ir.weight_inst t.d ~row ~col ~copy in
+  if i < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim_multiword.set_weight_all: no weight bit (%d,%d,%d)"
+         row col copy)
+  else begin
+    t.weight_writes <- t.weight_writes + t.n_lanes;
+    let out = t.d.insts.(i).outs.(0) in
+    for w = 0 to t.words - 1 do
+      let v = if bit then t.masks.(w) else 0 in
+      let idx = (i * t.words) + w in
+      let old = t.storage_state.(idx) in
+      if old <> v then begin
+        t.storage_state.(idx) <- v;
+        t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor v)
+      end;
+      set_net_word t out w v
+    done
+  end
 
 (** [eval t] settles all combinational logic, all lanes at once: one
     {!Cell.eval_word_into} per instance per word. Complemented cell

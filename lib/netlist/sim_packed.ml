@@ -1,12 +1,14 @@
 (** Bit-sliced cycle simulator: up to {!lanes} independent simulations of
     one design, packed one lane per bit of a native [int] per net.
 
-    Gate evaluation is word-level ({!Cell.eval_word_into}): one bitwise
-    expression settles a cell for every lane at once, so a full-width run
-    advances 63 simulations for roughly the cost the scalar {!Sim} pays
-    for one. The lanes are completely independent — different inputs,
-    different weights, different register histories — which is exactly
-    the shape of the two workloads that dominate the compiler:
+    Gate evaluation is word-level (the formulas of {!Cell.eval_word_into},
+    run over the flat tape {!Sim.compile_tape} builds, as scalar {!Sim}
+    does): one bitwise expression settles a cell for every lane at once,
+    so a full-width run advances 63 simulations for roughly the cost the
+    scalar {!Sim} pays for one. The lanes are completely independent —
+    different inputs, different weights, different register histories —
+    which is exactly the shape of the two workloads that dominate the
+    compiler:
 
     - power Monte Carlo: 63 random MAC replicas per simulated cycle, so
       toggle statistics converge with a fraction of the wall clock;
@@ -40,8 +42,7 @@ type t = {
   mutable cycles : int;  (** cycles advanced (per lane, not lane-summed) *)
   mutable weight_flips : int;  (** SRAM bits flipped by writes, lane-summed *)
   mutable weight_writes : int;  (** SRAM write ops, lane-summed *)
-  scratch_ins : int array;  (** word staging, {!Cell.max_inputs} wide *)
-  scratch_outs : int array;  (** same, {!Cell.max_outputs} wide *)
+  tape : Sim.tape;  (** the compiled combinational logic {!eval} runs *)
   seq_next : int array;  (** {!clock}'s next-state staging, per seq slot *)
 }
 
@@ -67,8 +68,7 @@ let create ?n_lanes (d : Ir.design) =
       cycles = 0;
       weight_flips = 0;
       weight_writes = 0;
-      scratch_ins = Array.make Cell.max_inputs 0;
-      scratch_outs = Array.make Cell.max_outputs 0;
+      tape = Sim.compile_tape d;
       seq_next = Array.make (max (Array.length d.seq) 1) 0;
     }
   in
@@ -82,7 +82,7 @@ let broadcast t b = if b then t.mask else 0
 
 (** [set_net t net w] drives [net] with the lane word [w] (masked to the
     active lanes) and charges one toggle per lane that changed. *)
-let set_net t net w =
+let[@inline] set_net t net w =
   let w = w land t.mask in
   let old = t.values.(net) in
   if old <> w then begin
@@ -152,20 +152,21 @@ let storage_state_lane t lane : bool array =
     bit. Every active lane performs a write; only flipped lanes are
     charged a flip. *)
 let set_weight t ~row ~col ~copy w =
-  match Hashtbl.find_opt t.d.weight_index (row, col, copy) with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Sim_packed.set_weight: no weight bit (%d,%d,%d)"
-           row col copy)
-  | Some i ->
-      let w = w land t.mask in
-      t.weight_writes <- t.weight_writes + t.n_lanes;
-      let old = t.storage_state.(i) in
-      if old <> w then begin
-        t.storage_state.(i) <- w;
-        t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor w)
-      end;
-      set_net t t.d.insts.(i).outs.(0) w
+  let i = Ir.weight_inst t.d ~row ~col ~copy in
+  if i < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim_packed.set_weight: no weight bit (%d,%d,%d)" row
+         col copy)
+  else begin
+    let w = w land t.mask in
+    t.weight_writes <- t.weight_writes + t.n_lanes;
+    let old = t.storage_state.(i) in
+    if old <> w then begin
+      t.storage_state.(i) <- w;
+      t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor w)
+    end;
+    set_net t t.d.insts.(i).outs.(0) w
+  end
 
 (** [set_weight_all t ~row ~col ~copy bit] — the broadcast form: every
     lane stores the same [bit]. *)
@@ -173,25 +174,97 @@ let set_weight_all t ~row ~col ~copy bit =
   set_weight t ~row ~col ~copy (broadcast t bit)
 
 (** [eval t] settles all combinational logic, all lanes at once: one
-    {!Cell.eval_word_into} per instance replaces one scalar
-    {!Cell.eval_into} per instance *per lane*. *)
+    pass over the tape {!Sim.compile_tape} built, each op applying the
+    word-level formula of {!Cell.eval_word_into} to every lane and
+    driving its outputs through {!set_net}. Allocation-free. *)
 let eval t =
-  let d = t.d in
-  let ins_buf = t.scratch_ins and outs_buf = t.scratch_outs in
-  let values = t.values in
-  Array.iter
-    (fun i ->
-      let inst = d.insts.(i) in
-      let ins = inst.Ir.ins in
-      for p = 0 to Array.length ins - 1 do
-        ins_buf.(p) <- values.(ins.(p))
-      done;
-      Cell.eval_word_into inst.Ir.kind ins_buf outs_buf;
-      let outs = inst.Ir.outs in
-      for o = 0 to Array.length outs - 1 do
-        set_net t outs.(o) outs_buf.(o)
-      done)
-    d.comb_order
+  let { Sim.ops; fan_in = fi; fan_out = fo } = t.tape in
+  let v = t.values in
+  let p = ref 0 and q = ref 0 in
+  for k = 0 to Array.length ops - 1 do
+    let i = !p and o = !q in
+    match ops.(k) with
+    | Sim.Inv ->
+        set_net t fo.(o) (lnot v.(fi.(i)));
+        p := i + 1;
+        q := o + 1
+    | Sim.Buf ->
+        set_net t fo.(o) v.(fi.(i));
+        p := i + 1;
+        q := o + 1
+    | Sim.Nand2 ->
+        set_net t fo.(o) (lnot (v.(fi.(i)) land v.(fi.(i + 1))));
+        p := i + 2;
+        q := o + 1
+    | Sim.Nor2 ->
+        set_net t fo.(o) (lnot (v.(fi.(i)) lor v.(fi.(i + 1))));
+        p := i + 2;
+        q := o + 1
+    | Sim.And2 ->
+        set_net t fo.(o) (v.(fi.(i)) land v.(fi.(i + 1)));
+        p := i + 2;
+        q := o + 1
+    | Sim.Or2 ->
+        set_net t fo.(o) (v.(fi.(i)) lor v.(fi.(i + 1)));
+        p := i + 2;
+        q := o + 1
+    | Sim.Xor2 ->
+        set_net t fo.(o) (v.(fi.(i)) lxor v.(fi.(i + 1)));
+        p := i + 2;
+        q := o + 1
+    | Sim.Xnor2 ->
+        set_net t fo.(o) (lnot (v.(fi.(i)) lxor v.(fi.(i + 1))));
+        p := i + 2;
+        q := o + 1
+    | Sim.Mux2 ->
+        let sel = v.(fi.(i + 2)) in
+        set_net t fo.(o)
+          ((sel land v.(fi.(i + 1))) lor (lnot sel land v.(fi.(i))));
+        p := i + 3;
+        q := o + 1
+    | Sim.Aoi22 ->
+        set_net t fo.(o)
+          (lnot
+             ((v.(fi.(i)) land v.(fi.(i + 1)))
+             lor (v.(fi.(i + 2)) land v.(fi.(i + 3)))));
+        p := i + 4;
+        q := o + 1
+    | Sim.Oai22 ->
+        set_net t fo.(o)
+          (lnot
+             ((v.(fi.(i)) lor v.(fi.(i + 1)))
+             land (v.(fi.(i + 2)) lor v.(fi.(i + 3)))));
+        p := i + 4;
+        q := o + 1
+    | Sim.Ha ->
+        let a = v.(fi.(i)) and b = v.(fi.(i + 1)) in
+        set_net t fo.(o) (a lxor b);
+        set_net t fo.(o + 1) (a land b);
+        p := i + 2;
+        q := o + 2
+    | Sim.Fa ->
+        let a = v.(fi.(i)) and b = v.(fi.(i + 1)) and c = v.(fi.(i + 2)) in
+        set_net t fo.(o) (a lxor b lxor c);
+        set_net t fo.(o + 1) ((a land b) lor (a land c) lor (b land c));
+        p := i + 3;
+        q := o + 2
+    | Sim.Comp42 ->
+        let a = v.(fi.(i)) and b = v.(fi.(i + 1)) and c = v.(fi.(i + 2)) in
+        let d = v.(fi.(i + 3)) and cin = v.(fi.(i + 4)) in
+        let s1 = a lxor b lxor c in
+        set_net t fo.(o) (s1 lxor d lxor cin);
+        set_net t fo.(o + 1) ((s1 land d) lor (s1 land cin) lor (d land cin));
+        set_net t fo.(o + 2) ((a land b) lor (a land c) lor (b land c));
+        p := i + 5;
+        q := o + 3
+    | Sim.Mul_oai22 ->
+        let sel = v.(fi.(i + 3)) in
+        set_net t fo.(o)
+          (v.(fi.(i))
+          land ((sel land v.(fi.(i + 2))) lor (lnot sel land v.(fi.(i + 1)))));
+        p := i + 4;
+        q := o + 1
+  done
 
 (** [clock t] commits every flip-flop in every lane: a plain DFF captures
     D, an enabled DFF captures D lane-wise where EN is high and holds

@@ -66,19 +66,18 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
   let sw_fj = ref 0.0 in
   Array.iteri
     (fun net count ->
-      if count > 0 then
-        match d.driver.(net) with
-        | None -> () (* primary input: charged to the driver upstream *)
-        | Some (i, _o) ->
-            let inst = d.insts.(i) in
-            let p = Library.params lib inst.kind inst.drive in
-            let load = loads.(net) in
-            let per_toggle =
-              (p.energy_fj *. esc) +. (0.5 *. load *. vdd *. vdd)
-            in
-            let fj = float_of_int count *. per_toggle in
-            sw_fj := !sw_fj +. fj;
-            add_sub inst.tag fj)
+      (* an undriven net is a primary input: charged to the driver
+         upstream *)
+      let i = if count > 0 then Ir.driver d net else -1 in
+      if i >= 0 then begin
+        let inst = d.insts.(i) in
+        let p = Library.params lib inst.kind inst.drive in
+        let load = loads.(net) in
+        let per_toggle = (p.energy_fj *. esc) +. (0.5 *. load *. vdd *. vdd) in
+        let fj = float_of_int count *. per_toggle in
+        sw_fj := !sw_fj +. fj;
+        add_sub inst.tag fj
+      end)
     toggles;
   (* clock network: plain flip-flops see every edge; enabled flip-flops
      sit behind integrated clock gates and are only charged for their

@@ -8,12 +8,21 @@
     a 40 nm bulk process. *)
 let alpha = 1.3
 
+(** [vdd_floor node] is the supply at or below which the alpha-power law
+    no longer models the node: 20 mV of overdrive above Vth. *)
+let vdd_floor (node : Node.t) = node.vth +. 0.02
+
+(** [modeled node ~vdd] holds when [vdd] is above {!vdd_floor}, the range
+    where {!delay_scale} is finite. *)
+let modeled (node : Node.t) ~vdd = vdd > vdd_floor node
+
 (** [delay_scale node ~vdd] is the multiplicative factor applied to a delay
-    characterized at [node.vdd_nominal] when operating at [vdd].
+    characterized at [node.vdd_nominal] when operating at [vdd]; infinite
+    outside the {!modeled} range.
 
     Alpha-power law: t_d proportional to VDD / (VDD - Vth)^alpha. *)
 let delay_scale (node : Node.t) ~vdd =
-  if vdd <= node.vth +. 0.02 then infinity
+  if not (modeled node ~vdd) then infinity
   else
     let f v = v /. ((v -. node.vth) ** alpha) in
     f vdd /. f node.vdd_nominal

@@ -497,6 +497,41 @@ let test_non_finite_specs_rejected () =
   check_int "nothing stored" 0 (Disk_cache.entry_count c);
   rm_rf dir
 
+(* Supplies at or below the voltage model's floor (Vth + 20 mV = 0.42 V
+   on the 40 nm node), where the alpha-power delay is infinite: each
+   fails its own item with a one-line diagnostic naming vdd and the
+   floor instead of walking the search budget to "fmax 0.00 GHz", and
+   nothing reaches the cache. *)
+let test_unmodeled_vdd_rejected () =
+  let dir = scratch () in
+  let c = open_cache dir in
+  let lines = [ "freq_mhz=300 vdd=0.3"; "vdd=0.42"; "vdd=0.05" ] in
+  let specs =
+    List.map
+      (fun line ->
+        match Batch.parse_spec_line ("rows=16 cols=16 " ^ line) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s did not parse: %s" line e)
+      lines
+  in
+  let floor = Voltage.vdd_floor lib.Library.node in
+  check_bool "the floor is Vth + 20 mV" true (Float.abs (floor -. 0.42) < 1e-9);
+  let r = Batch.run ~jobs:1 ~cache:c ctx specs in
+  check_int "every probe fails" (List.length lines) r.Batch.failed;
+  List.iter2
+    (fun line (item : Batch.item) ->
+      match item.Batch.outcome with
+      | Ok _ -> Alcotest.failf "%s compiled" line
+      | Error d ->
+          ignore (one_line d);
+          check_bool (line ^ ": names vdd") true
+            (List.mem_assoc "vdd" d.Diag.payload);
+          check_bool (line ^ ": names the floor") true
+            (List.assoc_opt "vdd_floor" d.Diag.payload = Some "0.42"))
+    lines r.Batch.items;
+  check_int "nothing stored" 0 (Disk_cache.entry_count c);
+  rm_rf dir
+
 let test_non_finite_values_not_cached () =
   let dir = scratch () in
   let c = open_cache dir in
@@ -548,6 +583,8 @@ let () =
           Alcotest.test_case "cache dir" `Quick test_cache_dir_validation;
           Alcotest.test_case "non-finite specs rejected" `Quick
             test_non_finite_specs_rejected;
+          Alcotest.test_case "unmodeled vdd rejected" `Quick
+            test_unmodeled_vdd_rejected;
         ] );
       ( "determinism",
         [

@@ -39,22 +39,25 @@ let test_multiple_drivers_rejected () =
   let o = Builder.inv c a in
   (* second driver onto o *)
   ignore (Ir.add ir Cell.Buf ~ins:[| a |] ~outs:[| o |]);
-  check_bool "raises" true
+  check_bool "raises, naming the net" true
     (try
        ignore (Ir.freeze ir);
        false
-     with Ir.Multiple_drivers _ -> true)
+     with Ir.Multiple_drivers net -> net = o)
 
 let test_comb_cycle_rejected () =
   let ir = Ir.create () in
   let a = Ir.new_net ir and b = Ir.new_net ir in
+  let x = Ir.new_net ir and y = Ir.new_net ir in
+  (* a clean gate first, so the stuck instance is not simply id 0 *)
+  ignore (Ir.add ir Cell.Inv ~ins:[| x |] ~outs:[| y |]);
   ignore (Ir.add ir Cell.Inv ~ins:[| a |] ~outs:[| b |]);
   ignore (Ir.add ir Cell.Inv ~ins:[| b |] ~outs:[| a |]);
-  check_bool "raises" true
+  check_bool "raises, naming the first stuck instance" true
     (try
        ignore (Ir.freeze ir);
        false
-     with Ir.Combinational_cycle _ -> true)
+     with Ir.Combinational_cycle i -> i = 1)
 
 let test_register_feedback_allowed () =
   (* a register in the loop makes it legal *)
@@ -437,12 +440,10 @@ let qtest_tape_vs_reference =
       let d = m.Macro_rtl.design in
       let tape = Sim.create d and reference = Sim.create d in
       let rng = Random.State.make [| seed |] in
-      Hashtbl.iter
-        (fun (row, col, copy) _ ->
+      Ir.iter_weights d (fun row col copy _ ->
           let bit = Random.State.bool rng in
           Sim.set_weight tape ~row ~col ~copy bit;
-          Sim.set_weight reference ~row ~col ~copy bit)
-        d.Ir.weight_index;
+          Sim.set_weight reference ~row ~col ~copy bit);
       let same () =
         tape.Sim.values = reference.Sim.values
         && tape.Sim.toggles = reference.Sim.toggles
@@ -463,6 +464,91 @@ let qtest_tape_vs_reference =
         ok := !ok && same ()
       done;
       !ok)
+
+(* ---------------- the freeze against its reference ---------------- *)
+
+(* [Ir.freeze] and [Ref_freeze.freeze] on the same netlist agree on
+   every view, or raise the same exception with the same payload. *)
+let freeze_outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Ir.Multiple_drivers n -> Error (Printf.sprintf "drivers %d" n)
+  | exception Ir.Combinational_cycle i -> Error (Printf.sprintf "cycle %d" i)
+
+let freeze_matches_reference (ir : Ir.t) =
+  match
+    (freeze_outcome (fun () -> Ir.freeze ir),
+     freeze_outcome (fun () -> Ref_freeze.freeze ir))
+  with
+  | Error e, Error e' -> e = e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+  | Ok d, Ok r ->
+      let consumers net =
+        let acc = ref [] in
+        Ir.iter_consumers d net (fun i p -> acc := (i, p) :: !acc);
+        List.rev !acc
+      in
+      let nets_agree = ref true in
+      for net = 0 to d.Ir.n_nets - 1 do
+        let drv =
+          let i = Ir.driver d net in
+          if i < 0 then None else Some (i, Ir.driver_pin d net)
+        in
+        nets_agree :=
+          !nets_agree && drv = r.Ref_freeze.driver.(net)
+          && consumers net = r.Ref_freeze.consumers.(net)
+          && Ir.n_consumers d net = List.length r.Ref_freeze.consumers.(net)
+      done;
+      let weights = ref 0 and weights_agree = ref true in
+      Ir.iter_weights d (fun row col copy i ->
+          incr weights;
+          weights_agree :=
+            !weights_agree
+            && Hashtbl.find_opt r.Ref_freeze.weight_index (row, col, copy)
+               = Some i
+            && Ir.weight_inst d ~row ~col ~copy = i);
+      !nets_agree && !weights_agree
+      && !weights = Hashtbl.length r.Ref_freeze.weight_index
+      && d.Ir.comb_order = r.Ref_freeze.comb_order
+      && d.Ir.seq = r.Ref_freeze.seq
+      && d.Ir.storage = r.Ref_freeze.storage
+
+(* Every Specgen macro and every searcher move applied to it, frozen
+   as built, then corrupted twice: a two-gate loop spliced into the
+   input of an existing instance, so everything downstream of that
+   instance is stuck, then a second driver on an instance's output. *)
+let qtest_freeze_vs_reference =
+  QCheck.Test.make ~name:"freeze = reference freeze on Specgen macros"
+    ~count:16 QCheck.small_nat (fun seed ->
+      let spec = List.hd (Specgen.generate ~seed ~count:1) in
+      let rng = Random.State.make [| seed |] in
+      let configs =
+        Spec.initial_config spec :: List.map snd (Metamorph.variants spec)
+      in
+      List.for_all
+        (fun cfg ->
+          let src = (Macro_rtl.build lib cfg).Macro_rtl.design.Ir.src in
+          let intact = freeze_matches_reference src in
+          let n = Vec.length src.Ir.insts in
+          let rec pick_inst () =
+            let inst = Vec.get src.Ir.insts (Random.State.int rng n) in
+            if Array.length inst.Ir.ins > 0 then inst else pick_inst ()
+          in
+          let looped =
+            let x = Ir.new_net src in
+            let y = Builder.and2 (Builder.ctx_plain src) Ir.const1 x in
+            ignore (Ir.add src Cell.Inv ~ins:[| y |] ~outs:[| x |]);
+            (pick_inst ()).Ir.ins.(0) <- x;
+            freeze_matches_reference src
+          in
+          let redriven =
+            let out = (pick_inst ()).Ir.outs.(0) in
+            ignore
+              (Ir.add src Cell.Buf ~ins:[| Ir.const0 |] ~outs:[| out |]);
+            freeze_matches_reference src
+          in
+          intact && looped && redriven)
+        configs)
 
 let () =
   Alcotest.run "netlist"
@@ -513,6 +599,7 @@ let () =
           Alcotest.test_case "every combinational kind" `Quick
             test_tape_every_kind;
           QCheck_alcotest.to_alcotest qtest_tape_vs_reference;
+          QCheck_alcotest.to_alcotest qtest_freeze_vs_reference;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qtest_rca_random ]);
     ]

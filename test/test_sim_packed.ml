@@ -81,6 +81,58 @@ let test_eval_word_exhaustive () =
       end)
     Cell.all_kinds
 
+(* ---------------- the compiled tape ---------------- *)
+
+(* One instance of every combinational kind in a one-cell netlist, with
+   all 2^n input patterns packed as the lanes of one simulator: lane [c]
+   sees pattern [c], then its complement. After each [eval] every lane's
+   outputs must equal [Cell.eval], and every net's lane-summed toggle
+   count must equal the sum of the per-lane scalar [Sim] counts. *)
+let test_tape_every_kind () =
+  List.iter
+    (fun k ->
+      if not (Cell.is_sequential k || Cell.is_storage k) then begin
+        let n = Cell.n_inputs k and m = Cell.n_outputs k in
+        let combos = 1 lsl n in
+        let ir = Ir.create () in
+        let a = Ir.new_bus ir n and y = Ir.new_bus ir m in
+        Ir.add_input ir "a" a;
+        ignore (Ir.add ir k ~ins:a ~outs:y);
+        Ir.add_output ir "y" y;
+        let d = Ir.freeze ir in
+        let packed = Sim_packed.create ~n_lanes:combos d in
+        let scalars = Array.init combos (fun _ -> Sim.create d) in
+        let name = Cell.kind_to_string k in
+        List.iter
+          (fun pattern ->
+            let vs = Array.init combos pattern in
+            Sim_packed.set_bus_lanes packed "a" vs;
+            Sim_packed.eval packed;
+            Array.iteri
+              (fun c sim ->
+                Sim.set_bus sim "a" vs.(c);
+                Sim.eval sim;
+                let bit p = (vs.(c) lsr p) land 1 = 1 in
+                let want = Cell.eval k (Array.init n bit) in
+                check_int
+                  (Printf.sprintf "%s lane %d outputs" name c)
+                  (Array.fold_right
+                     (fun b acc -> (acc lsl 1) lor Bool.to_int b)
+                     want 0)
+                  (Sim_packed.read_bus_lane packed "y" c))
+              scalars;
+            for net = 0 to d.Ir.n_nets - 1 do
+              check_int
+                (Printf.sprintf "%s net %d toggles" name net)
+                (Array.fold_left
+                   (fun acc sim -> acc + sim.Sim.toggles.(net))
+                   0 scalars)
+                packed.Sim_packed.toggles.(net)
+            done)
+          [ (fun c -> c); (fun c -> lnot c land (combos - 1)) ]
+      end)
+    Cell.all_kinds
+
 (* ---------------- directed lane edge tests ---------------- *)
 
 (* A 3-bit inverter: lane 0 and lane 62 carry distinct payloads, every
@@ -365,6 +417,11 @@ let () =
         [
           Alcotest.test_case "exhaustive truth tables vs scalar eval" `Quick
             test_eval_word_exhaustive;
+        ] );
+      ( "tape",
+        [
+          Alcotest.test_case "every combinational kind, patterns as lanes"
+            `Quick test_tape_every_kind;
         ] );
       ( "lane_edges",
         [
